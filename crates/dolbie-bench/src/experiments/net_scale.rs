@@ -1,9 +1,8 @@
 //! Experiment X5 (extension): how the TCP runtime scales with fleet size.
 //!
 //! Runs real loopback fleets at N ∈ {256, 1024, 4096} under the
-//! event-driven master (and the blocking master at the smaller sizes, as
-//! the baseline it replaces) and writes rounds/s and bytes/s per
-//! configuration to `results/net_scale.csv`. The quick variant used by
+//! event-driven master and writes rounds/s and bytes/s per fleet size to
+//! `results/net_scale.csv`. The quick variant used by
 //! the tier-1 smoke runs smaller fleets and writes
 //! `results/net_scale_quick.csv`, so a smoke run never clobbers the full
 //! measurement.
@@ -19,22 +18,14 @@ use dolbie_core::{run_episode, Allocation, Dolbie, DolbieConfig, EpisodeOptions}
 use dolbie_metrics::Table;
 use dolbie_net::env::{EnvKind, WireEnvSpec};
 use dolbie_net::loopback::{run_loopback, LoopbackOptions};
-use dolbie_net::master::{MasterConfig, MasterKind};
+use dolbie_net::master::MasterConfig;
 
 const ENV_SEED: u64 = 0xD01B_5CA1;
 
-fn kind_name(kind: MasterKind) -> &'static str {
-    match kind {
-        MasterKind::Blocking => "blocking",
-        MasterKind::Evented => "evented",
-    }
-}
-
-/// One fleet at one size under one master implementation, gated bitwise
-/// against the sequential engine.
-fn scenario(table: &mut Table, kind: MasterKind, n: usize, rounds: usize) {
+/// One fleet at one size, gated bitwise against the sequential engine.
+fn scenario(table: &mut Table, n: usize, rounds: usize) {
     let env = WireEnvSpec { kind: EnvKind::ChaosMix, seed: ENV_SEED + n as u64 };
-    let opts = LoopbackOptions::new(MasterConfig::new(n, rounds, env)).with_master_kind(kind);
+    let opts = LoopbackOptions::new(MasterConfig::new(n, rounds, env));
     let run = run_loopback(&opts).expect("loopback fleet");
     let report = &run.report;
     assert_eq!(report.trace.rounds.len(), rounds);
@@ -61,7 +52,6 @@ fn scenario(table: &mut Table, kind: MasterKind, n: usize, rounds: usize) {
     let rounds_per_s = rounds as f64 / wall.max(1e-9);
     let bytes_per_s = bytes as f64 / wall.max(1e-9);
     table.push_row(vec![
-        kind_name(kind).to_string(),
         n.to_string(),
         rounds.to_string(),
         report.trace.total_messages().to_string(),
@@ -73,9 +63,8 @@ fn scenario(table: &mut Table, kind: MasterKind, n: usize, rounds: usize) {
         "yes".to_string(),
     ]);
     println!(
-        "  {}@N={n}: {rounds} rounds in {wall:.3} s — {rounds_per_s:.1} rounds/s, \
-         {bytes_per_s:.0} wire bytes/s, bitwise vs sequential: yes",
-        kind_name(kind),
+        "  N={n}: {rounds} rounds in {wall:.3} s — {rounds_per_s:.1} rounds/s, \
+         {bytes_per_s:.0} wire bytes/s, bitwise vs sequential: yes"
     );
 }
 
@@ -83,7 +72,6 @@ fn scenario(table: &mut Table, kind: MasterKind, n: usize, rounds: usize) {
 pub fn net_scale_named(name: &str, quick: bool) {
     println!("== TCP runtime scaling sweep ({}) ==", if quick { "quick" } else { "full" });
     let mut table = Table::new(vec![
-        "master",
         "n",
         "rounds",
         "logical_messages",
@@ -98,18 +86,14 @@ pub fn net_scale_named(name: &str, quick: bool) {
         // The tier-1 smoke: a four-digit thread fleet is too heavy for a
         // <10 s budget, but N = 256 exercises the same readiness loop,
         // concurrent admission, and coalesced broadcasts.
-        scenario(&mut table, MasterKind::Blocking, 64, 20);
-        scenario(&mut table, MasterKind::Evented, 64, 20);
-        scenario(&mut table, MasterKind::Evented, 256, 10);
+        scenario(&mut table, 64, 20);
+        scenario(&mut table, 256, 10);
     } else {
-        for n in [256usize, 1024] {
-            scenario(&mut table, MasterKind::Blocking, n, if n <= 256 { 60 } else { 30 });
-            scenario(&mut table, MasterKind::Evented, n, if n <= 256 { 60 } else { 30 });
-        }
-        // The headline size: the blocking master's serial admission was
-        // never run here — the point of the sweep is that the evented
-        // master holds a multi-round run together at this scale.
-        scenario(&mut table, MasterKind::Evented, 4096, 10);
+        scenario(&mut table, 256, 60);
+        scenario(&mut table, 1024, 30);
+        // The headline size: the master holds a multi-round run together
+        // over 4096 live connections on one listener.
+        scenario(&mut table, 4096, 10);
     }
     emit_csv(&table, name);
     println!("  every fleet held bitwise parity with the sequential engine.");

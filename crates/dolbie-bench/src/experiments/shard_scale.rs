@@ -29,7 +29,7 @@ use dolbie_core::{run_episode, Allocation, Dolbie, DolbieConfig, EpisodeOptions,
 use dolbie_metrics::Table;
 use dolbie_net::env::{EnvKind, WireEnvSpec};
 use dolbie_net::loopback::{run_loopback, LoopbackOptions};
-use dolbie_net::master::{MasterConfig, MasterKind};
+use dolbie_net::master::MasterConfig;
 use dolbie_net::shard::{run_sharded_loopback, ShardedConfig};
 
 const ENV_SEED: u64 = 0xD01B_54A2;
@@ -91,8 +91,7 @@ fn sequential_reference(env: WireEnvSpec, n: usize, rounds: usize) -> Vec<Vec<f6
 
 fn flat_scenario(n: usize, rounds: usize, reference: &[Vec<f64>]) -> Row {
     let env = WireEnvSpec { kind: EnvKind::ChaosMix, seed: ENV_SEED + n as u64 };
-    let opts = LoopbackOptions::new(MasterConfig::new(n, rounds, env))
-        .with_master_kind(MasterKind::Evented);
+    let opts = LoopbackOptions::new(MasterConfig::new(n, rounds, env));
     let run = run_loopback(&opts).expect("flat evented fleet");
     let report = &run.report;
     assert_eq!(report.trace.rounds.len(), rounds);
@@ -209,8 +208,7 @@ pub fn shard_scale_named(name: &str, quick: bool) {
     let reps = if quick { 1 } else { 3 };
     if !quick {
         let env = WireEnvSpec { kind: EnvKind::ChaosMix, seed: ENV_SEED + n as u64 };
-        let warm = LoopbackOptions::new(MasterConfig::new(n, 3, env))
-            .with_master_kind(MasterKind::Evented);
+        let warm = LoopbackOptions::new(MasterConfig::new(n, 3, env));
         let _ = run_loopback(&warm).expect("warm-up fleet");
     }
     let mut flat_reps: Vec<Row> = Vec::new();

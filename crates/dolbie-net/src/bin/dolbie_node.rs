@@ -4,7 +4,6 @@
 //! dolbie_node master --listen 127.0.0.1:4100 --workers 4 [--rounds 500]
 //!                    [--env-seed 7] [--env chaos|ramp] [--drop-p 0.1]
 //!                    [--dup-p 0.05] [--fault-seed 21] [--verify]
-//!                    [--master blocking|evented]
 //! dolbie_node worker --connect 127.0.0.1:4100
 //! dolbie_node root   --listen 127.0.0.1:4200 --shards 4 --workers 64
 //!                    [--rounds 500] [--env chaos|ramp] [--env-seed 7]
@@ -32,7 +31,7 @@
 use dolbie_core::{run_episode, Dolbie, DolbieConfig, EpisodeOptions};
 use dolbie_net::env::{EnvKind, WireEnvSpec};
 use dolbie_net::evented::run_master_evented;
-use dolbie_net::master::{run_master, MasterConfig, MasterKind};
+use dolbie_net::master::MasterConfig;
 use dolbie_net::shard::{run_root, run_shard_master, ShardMasterOptions, ShardedConfig};
 use dolbie_net::transport::{connect_with_backoff, DEFAULT_FRAME_TIMEOUT};
 use dolbie_net::worker::{run_worker, WorkerOptions};
@@ -44,7 +43,6 @@ fn usage() -> ! {
     eprintln!(
         "usage:\n  dolbie_node master --listen ADDR --workers N [--rounds T] [--env chaos|ramp]\n\
          \x20                  [--env-seed S] [--drop-p P] [--dup-p P] [--fault-seed S] [--verify]\n\
-         \x20                  [--master blocking|evented]\n\
          \x20 dolbie_node worker --connect ADDR\n\
          \x20 dolbie_node root   --listen ADDR --shards M --workers N [--rounds T]\n\
          \x20                  [--env chaos|ramp] [--env-seed S] [--drop-p P] [--dup-p P]\n\
@@ -112,7 +110,6 @@ fn master_main(mut args: std::env::Args) {
     let mut dup_p = 0.0;
     let mut fault_seed = 0u64;
     let mut verify = false;
-    let mut master_kind = MasterKind::default();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--listen" => listen = Some(parse_addr("--listen", &take_value("--listen", &mut args))),
@@ -137,11 +134,6 @@ fn master_main(mut args: std::env::Args) {
                 fault_seed = parse_u64("--fault-seed", &take_value("--fault-seed", &mut args))
             }
             "--verify" => verify = true,
-            "--master" => {
-                let value = take_value("--master", &mut args);
-                master_kind = MasterKind::parse(&value)
-                    .unwrap_or_else(|| bad("--master", &value, "'blocking' or 'evented'"));
-            }
             other => {
                 eprintln!("error: unknown flag '{other}' for dolbie_node master");
                 std::process::exit(2);
@@ -167,11 +159,7 @@ fn master_main(mut args: std::env::Args) {
     let local = listener.local_addr().expect("bound listener has an address");
     println!("listening on {local}");
 
-    let report = match master_kind {
-        MasterKind::Blocking => run_master(&listener, &cfg),
-        MasterKind::Evented => run_master_evented(&listener, &cfg),
-    }
-    .unwrap_or_else(|e| {
+    let report = run_master_evented(&listener, &cfg).unwrap_or_else(|e| {
         eprintln!("error: master run failed: {e}");
         std::process::exit(1);
     });

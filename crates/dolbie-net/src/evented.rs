@@ -1,20 +1,18 @@
-//! The event-driven master: one thread, non-blocking sockets, a
-//! level-triggered readiness loop — the scalable replacement for the
-//! sequential blocking master in [`crate::master`].
+//! The master: Algorithm 1's coordinator over real sockets — one
+//! thread, non-blocking sockets, a level-triggered readiness loop.
 //!
-//! The blocking master admits workers one at a time and reads round
-//! frames worker-by-worker in id order, so one slow connection serializes
-//! the fleet and worst-case round latency is `N × frame_timeout`. Here
-//! every socket is non-blocking and the loop sweeps readiness instead:
-//! frames are reassembled per connection by the shared
-//! [`FrameCodec`](crate::transport::FrameCodec), broadcasts encode once
-//! and land on every transmit queue as raw bytes, writes batch into as
-//! few syscalls as the kernel accepts, and per-connection deadlines ride
-//! a hashed timer wheel — so `K` simultaneously stalled workers cost a
+//! Every socket is non-blocking and the loop sweeps readiness instead of
+//! reading worker-by-worker: frames are reassembled per connection by
+//! the shared [`FrameCodec`](crate::transport::FrameCodec), broadcasts
+//! encode once and land on every transmit queue as raw bytes, writes
+//! batch into as few syscalls as the kernel accepts, and per-connection
+//! deadlines ride a hashed timer wheel — so one slow connection never
+//! serializes the fleet, and `K` simultaneously stalled workers cost a
 //! round one `frame_timeout` total, not `K` of them. The sweep machinery
 //! itself (connections, pumps, deadlines, broadcast, crash discovery)
 //! lives in `crate::fleet`, shared with the shard-master tier; this
-//! module owns only the flat master's protocol script.
+//! module owns only the flat master's protocol script. The run's
+//! configuration and report types live in [`crate::master`].
 //!
 //! ## Connection state machine
 //!
@@ -27,6 +25,20 @@
 //! opener — rejects that socket and keeps listening for the real fleet;
 //! it never aborts the run.
 //!
+//! ## Crash handling
+//!
+//! A worker whose socket times out, resets, or closes mid-round is
+//! declared dead and mapped onto a membership epoch
+//! ([`Dolbie::apply_membership`]): its share is redistributed over the
+//! survivors, α re-caps, the epoch counter increments, and every survivor
+//! receives an [`Frame::Epoch`] carrying its authoritative
+//! post-renormalization share (overriding any tentative in-round state).
+//! If the engine had not yet committed the round, the round restarts under
+//! the new epoch; if death surfaces only while delivering the commit
+//! (`Adjust`/`Assignment` sends), the round stands and the run continues.
+//! Stale frames from abandoned round attempts are filtered by the epoch
+//! tag they carry. The run never hangs on a dead worker.
+//!
 //! ## Determinism boundary
 //!
 //! Readiness order is scheduler noise, so nothing trajectory-relevant may
@@ -34,15 +46,15 @@
 //! values out of id-indexed arrays and reduces them with the engine's own
 //! ascending strict-`>` argmax, so any interleaving of frame arrivals
 //! produces the same straggler, the same gains vector, and therefore the
-//! same bitwise trajectory as the blocking master and the sequential
-//! engine. What *is* timing-dependent — in both masters — is when a
-//! crash surfaces; the crash→epoch mapping (pre-commit restart vs
-//! post-commit stand) is preserved, not the wall-clock instant.
+//! same bitwise trajectory as the sequential engine. What *is*
+//! timing-dependent is when a crash surfaces; the crash→epoch mapping
+//! (pre-commit restart vs post-commit stand) is preserved, not the
+//! wall-clock instant.
 
 use crate::fleet::{Fleet, Phase, SweepFail};
-use crate::handshake::{admit_concurrent, welcome_frame};
+use crate::handshake::{admit_concurrent, hello_opener, welcome_frame};
 use crate::master::{MasterConfig, NetRunReport};
-use crate::transport::{TransportError, WireStats};
+use crate::transport::{Envelope, WireStats};
 use crate::wire::Frame;
 use crate::NetError;
 use dolbie_core::{Allocation, Dolbie, LoadBalancer};
@@ -82,9 +94,8 @@ struct EventMaster<'a> {
 }
 
 impl EventMaster<'_> {
-    /// One attempt at round `t` under the current epoch — the same
-    /// protocol script as the blocking master, phrased as broadcasts and
-    /// sweeps instead of per-worker blocking calls.
+    /// One attempt at round `t` under the current epoch, phrased as
+    /// broadcasts and sweeps.
     fn run_round(&mut self, t: usize) -> Result<ProtocolRound, Abort> {
         let n = self.members.len();
         let active: Vec<usize> = (0..n).filter(|&i| self.members[i]).collect();
@@ -102,7 +113,7 @@ impl EventMaster<'_> {
         let compute_finished = self.started.elapsed().as_secs_f64();
 
         // Straggler: ascending argmax over the active members, strict `>`
-        // — the same tie-breaking as the engine and the blocking master.
+        // — the same tie-breaking as the engine.
         let mut global_cost = f64::MIN;
         let mut straggler = active[0];
         for &i in &active {
@@ -180,7 +191,7 @@ impl EventMaster<'_> {
 
     /// Declares `worker` dead, crosses a membership epoch, and announces
     /// it to the survivors — cascading if an announcement discovers
-    /// further deaths. Mirrors the blocking master's bury exactly.
+    /// further deaths.
     fn bury(&mut self, worker: usize, next_round: usize) -> Result<(), NetError> {
         let mut pending = vec![worker];
         while let Some(dead) = pending.pop() {
@@ -220,9 +231,8 @@ impl EventMaster<'_> {
 
 /// Accepts `cfg.num_workers` connections on `listener`, runs Algorithm 1
 /// to the horizon under the event-driven readiness loop, and shuts the
-/// fleet down. The report's trajectory is bitwise identical to
-/// [`run_master`](crate::master::run_master) and to the sequential
-/// engine; only wall-clock scaling differs.
+/// fleet down. The report's trajectory is bitwise identical to the
+/// sequential engine's.
 ///
 /// # Panics
 ///
@@ -231,23 +241,16 @@ pub fn run_master_evented(
     listener: &TcpListener,
     cfg: &MasterConfig,
 ) -> Result<NetRunReport, NetError> {
-    assert!(cfg.num_workers > 0, "at least one worker required");
-    assert!(cfg.rounds > 0, "at least one round required");
-    listener.set_nonblocking(true).map_err(TransportError::from)?;
-    let result = drive(listener, cfg);
-    let _ = listener.set_nonblocking(false);
-    result
-}
-
-fn drive(listener: &TcpListener, cfg: &MasterConfig) -> Result<NetRunReport, NetError> {
     let n = cfg.num_workers;
+    assert!(n > 0, "at least one worker required");
+    assert!(cfg.rounds > 0, "at least one round required");
     let engine = Dolbie::with_config(Allocation::uniform(n), cfg.dolbie);
     let links = admit_concurrent(
         listener,
         n,
         cfg.frame_timeout,
-        &cfg.fault,
-        |id| {
+        None,
+        hello_opener(|id| {
             welcome_frame(
                 id as u32,
                 n as u32,
@@ -256,8 +259,8 @@ fn drive(listener: &TcpListener, cfg: &MasterConfig) -> Result<NetRunReport, Net
                 engine.allocation().share(id),
                 &cfg.fault,
             )
-        },
-        |id| id as u64 + 1,
+        }),
+        |id| Envelope::new(&cfg.fault, 0, id as u64 + 1),
     )?;
     let mut master = EventMaster {
         cfg,

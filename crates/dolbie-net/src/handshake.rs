@@ -1,20 +1,21 @@
-//! The single home of worker admission: the `Hello → Welcome` handshake
-//! and its rejection semantics, shared by the blocking master
-//! ([`crate::master`]), the evented master ([`crate::evented`]), and the
-//! shard-master tier ([`crate::shard`]) — one implementation of the
-//! admission rules instead of a per-coordinator copy.
+//! The single home of admission: the `Hello → Welcome` handshake (and
+//! the backbone's `ShardHello → ShardWelcome`) and its rejection
+//! semantics, shared by the flat master ([`crate::evented`]), every
+//! shard-master, and the root ([`crate::shard`]) — one concurrent
+//! admission machine instead of a per-coordinator copy.
 //!
 //! The rules, everywhere: strict magic/version checks ride inside
-//! `Frame` decode; worker ids are assigned in Hello-completion order; a
-//! socket that fails the handshake — timeout, garbage bytes, a premature
-//! close, or a well-formed non-`Hello` opener — is rejected while the
-//! listener keeps accepting, so a rogue or slow peer never aborts or
-//! consumes a slot of the real fleet. The handshake precedes the lossy
-//! envelope; faults start with the first round frame.
+//! `Frame` decode; a socket that fails the handshake — timeout, garbage
+//! bytes, a premature close, or a well-formed opener the caller's rule
+//! refuses — is rejected while the listener keeps accepting, so a rogue
+//! or slow peer never aborts or consumes a slot of the real fleet.
+//! Workers take ids in Hello-completion order; shard-masters declare
+//! theirs. The handshake precedes the lossy envelope; faults start with
+//! the first round frame.
 
 use crate::env::WireEnvSpec;
 use crate::fleet::{Conn, IdleWait, TimerWheel};
-use crate::transport::{FrameConn, Link, TransportError};
+use crate::transport::{Envelope, TransportError};
 use crate::wire::Frame;
 use crate::NetError;
 use dolbie_simnet::faults::FaultPlan;
@@ -24,7 +25,7 @@ use std::time::{Duration, Instant};
 
 /// Builds the `Welcome` frame every coordinator sends in response to a
 /// worker's `Hello` — the one place the fault-plan fields map onto the
-/// wire, so the three admission paths cannot drift apart.
+/// wire, so the flat and sharded admissions cannot drift apart.
 pub(crate) fn welcome_frame(
     worker_id: u32,
     num_workers: u32,
@@ -45,57 +46,67 @@ pub(crate) fn welcome_frame(
     }
 }
 
-/// Sequential blocking admission, used by the blocking master: one
-/// socket at a time, a blocking `Hello` read under `frame_timeout`, then
-/// the `Welcome` from the `welcome` closure (keyed by the slot about to
-/// be filled) and a [`Link`] carrying the fault plan with peer code
-/// `peer_code(slot)`.
-pub(crate) fn admit_blocking(
-    listener: &TcpListener,
-    count: usize,
-    frame_timeout: Duration,
-    fault: &FaultPlan,
+/// The worker opener rule: a `Hello` takes the next slot in
+/// Hello-completion order and is answered with `welcome(slot)`.
+pub(crate) fn hello_opener(
     mut welcome: impl FnMut(usize) -> Frame,
-    mut peer_code: impl FnMut(usize) -> u64,
-) -> Result<Vec<Option<Link>>, NetError> {
-    let mut links: Vec<Option<Link>> = Vec::with_capacity(count);
-    while links.len() < count {
-        let slot = links.len();
-        let (stream, _) = listener.accept().map_err(TransportError::from)?;
-        let Ok(mut conn) = FrameConn::new(stream) else { continue };
-        match conn.recv(frame_timeout) {
-            Ok(Frame::Hello { .. }) => {}
-            Ok(_) | Err(_) => continue, // rejected
-        }
-        if conn.send(&welcome(slot)).is_err() {
-            continue; // died between Hello and Welcome: rejected
-        }
-        links.push(Some(Link::with_plan(conn, fault.clone(), 0, peer_code(slot))));
+) -> impl FnMut(Frame) -> Option<(usize, Frame)> {
+    let mut next = 0;
+    move |opener| {
+        matches!(opener, Frame::Hello { .. }).then(|| {
+            let slot = next;
+            next += 1;
+            (slot, welcome(slot))
+        })
     }
-    Ok(links)
 }
 
-/// Concurrent evented admission, used by the evented master and every
-/// shard-master: every pending socket handshakes under its own deadline,
-/// slots assigned in Hello-completion order. The listener must already
-/// be non-blocking. Welcome content and lossy peer codes come from the
-/// closures, so the flat master (local ids) and a shard-master (global
-/// ids offset by its range) admit through the identical machine.
+/// Concurrent admission of `count` peers, used by the flat master, every
+/// shard-master, and the root's backbone: every pending socket handshakes
+/// under its own `frame_timeout` deadline, so silent peers only cost
+/// themselves. Each candidate's first frame goes to `opener`, which
+/// either rejects it (`None`) or names the free slot it fills and the
+/// welcome to answer with; `envelope` then supplies that slot's lossy
+/// envelope, if any. The slot rules — admission order for workers,
+/// self-declared ids for shard-masters — are the callers'; the machine is
+/// shared.
+///
+/// With a `window`, admission stops when it expires and the unfilled
+/// slots come back as `None`; without one it runs until every slot is
+/// filled.
 pub(crate) fn admit_concurrent(
     listener: &TcpListener,
     count: usize,
     frame_timeout: Duration,
-    fault: &FaultPlan,
-    mut welcome: impl FnMut(usize) -> Frame,
-    mut peer_code: impl FnMut(usize) -> u64,
+    window: Option<Duration>,
+    opener: impl FnMut(Frame) -> Option<(usize, Frame)>,
+    envelope: impl FnMut(usize) -> Option<Envelope>,
 ) -> Result<Vec<Option<Conn>>, NetError> {
+    listener.set_nonblocking(true).map_err(TransportError::from)?;
+    let admitted = admit_nonblocking(listener, count, frame_timeout, window, opener, envelope);
+    let _ = listener.set_nonblocking(false);
+    admitted
+}
+
+fn admit_nonblocking(
+    listener: &TcpListener,
+    count: usize,
+    frame_timeout: Duration,
+    window: Option<Duration>,
+    mut opener: impl FnMut(Frame) -> Option<(usize, Frame)>,
+    mut envelope: impl FnMut(usize) -> Option<Envelope>,
+) -> Result<Vec<Option<Conn>>, NetError> {
+    let until = window.map(|w| Instant::now() + w);
     let mut wheel = TimerWheel::new(Instant::now());
     let mut idle = IdleWait::new();
     let mut candidates: Vec<Option<Conn>> = Vec::new();
     let mut admitted: Vec<Option<Conn>> = (0..count).map(|_| None).collect();
-    let mut next_id = 0usize;
-    while next_id < count {
+    let mut filled = 0usize;
+    while filled < count {
         let now = Instant::now();
+        if until.is_some_and(|until| now >= until) {
+            break;
+        }
         let mut progressed = false;
         loop {
             match listener.accept() {
@@ -114,7 +125,7 @@ pub(crate) fn admit_concurrent(
             }
         }
         for slot in candidates.iter_mut() {
-            if next_id >= count {
+            if filled >= count {
                 break;
             }
             let Some(conn) = slot.as_mut() else { continue };
@@ -126,25 +137,25 @@ pub(crate) fn admit_concurrent(
                     continue;
                 }
             }
-            match conn.inbox.pop_front() {
-                None => {}
-                Some(Frame::Hello { .. }) => {
-                    let mut conn = slot.take().expect("candidate present");
-                    let id = next_id;
-                    next_id += 1;
-                    conn.queue(&welcome(id), now);
-                    // The handshake precedes the envelope; faults start
-                    // with the first round frame (like the blocking side).
-                    conn.install_lossy(fault, 0, peer_code(id));
-                    // Write errors surface on the first round pump.
-                    let _ = conn.pump_write();
-                    conn.gen += 1; // cancels the Hello deadline
-                    admitted[id] = Some(conn);
-                    progressed = true;
-                }
-                // A well-formed but out-of-protocol opener: rejected.
-                Some(_) => *slot = None,
-            }
+            let Some(first) = conn.inbox.pop_front() else { continue };
+            // An opener the rule refuses — a non-Hello frame, a taken or
+            // out-of-range slot — rejects the socket.
+            let Some((id, welcome)) = opener(first) else {
+                *slot = None;
+                continue;
+            };
+            debug_assert!(admitted[id].is_none(), "the opener rule filled slot {id} twice");
+            let mut conn = slot.take().expect("candidate present");
+            conn.queue(&welcome, now);
+            // The handshake precedes the envelope; faults start with the
+            // first round frame.
+            conn.envelope = envelope(id);
+            // Write errors surface on the first round pump.
+            let _ = conn.pump_write();
+            conn.gen += 1; // cancels the handshake deadline
+            admitted[id] = Some(conn);
+            filled += 1;
+            progressed = true;
         }
         for timer in wheel.expire(now) {
             let stale = candidates
@@ -152,7 +163,7 @@ pub(crate) fn admit_concurrent(
                 .and_then(|c| c.as_ref())
                 .is_some_and(|c| c.gen == timer.gen());
             if stale {
-                // Hello never arrived within the deadline: rejected.
+                // The opener never arrived within the deadline: rejected.
                 candidates[timer.conn()] = None;
             }
         }

@@ -1,9 +1,9 @@
 //! # dolbie-net
 //!
 //! A real TCP runtime for DOLBIE's Algorithm 1 (master-worker): versioned
-//! length-prefixed wire protocol, blocking `std::net` transport with
-//! deadlines and seeded reconnect, deterministic socket-level fault
-//! replay, and crash-detected worker loss mapped onto membership epochs.
+//! length-prefixed wire protocol, `std::net` transport with deadlines
+//! and seeded reconnect, deterministic socket-level fault replay, and
+//! crash-detected worker loss mapped onto membership epochs.
 //!
 //! The headline property is **bitwise trajectory parity**: over a
 //! lossless link — loopback threads or separate OS processes — the
@@ -17,7 +17,7 @@
 //! 3. the master mirrors the rounds through
 //!    [`Dolbie::observe_reported`](dolbie_core::Dolbie::observe_reported),
 //!    whose reported-round contract guarantees state identical to a
-//!    locally observed round ([`master`]).
+//!    locally observed round ([`master`], [`evented`]).
 //!
 //! Under a lossy link ([`transport::Link`] replaying a
 //! [`FaultPlan`](dolbie_simnet::faults::FaultPlan) at the socket layer),
@@ -28,21 +28,21 @@
 //!
 //! - [`wire`] — frames, magic/version handshake, strict decode.
 //! - [`mod@env`] — wire-encodable seeded environments.
-//! - [`transport`] — framed connections, deadlines, the lossy envelope,
-//!   seeded reconnect backoff.
-//! - [`master`] / [`worker`] — the two node roles.
-//! - [`evented`] — the event-driven master: non-blocking sockets,
-//!   concurrent admission, coalesced broadcasts, timer-wheel deadlines;
-//!   the default master, bitwise identical to the blocking one.
+//! - [`transport`] — framed connections, deadlines, the sans-IO lossy
+//!   envelope and its blocking driver, seeded reconnect backoff.
+//! - [`master`] / [`worker`] — the two node roles: the master's
+//!   configuration and report, and the worker's protocol loop.
+//! - [`evented`] — the master itself: non-blocking sockets, concurrent
+//!   admission, coalesced broadcasts, timer-wheel deadlines.
 //! - `fleet` / `handshake` (crate-internal) — the shared
-//!   coordinator-over-a-member-set machinery: connection sweeps, timer
-//!   wheel, lossy envelope, and the single home of the `Hello → Welcome`
-//!   admission rules, reused by the evented master and every
-//!   shard-master.
+//!   coordinator-over-a-member-set machinery: connection sweeps (the
+//!   envelope's non-blocking driver), timer wheel, and the single
+//!   concurrent admission machine, reused by the master, every
+//!   shard-master, and the root.
 //! - [`shard`] — the two-level control plane: `M` shard-masters each
 //!   coordinate `N/M` workers, a root coordinator runs the identical
 //!   min-max step over `O(M)` shard aggregates; bitwise identical to
-//!   the flat masters and the sequential engine.
+//!   the flat master and the sequential engine.
 //! - [`loopback`] — in-process master + workers over 127.0.0.1.
 //!
 //! The `dolbie_node` binary exposes every role on the command line:

@@ -10,7 +10,7 @@
 //! thousands neither exhaust memory nor trample the OS listen backlog.
 
 use crate::evented::run_master_evented;
-use crate::master::{run_master, MasterConfig, MasterKind, NetRunReport};
+use crate::master::{MasterConfig, NetRunReport};
 use crate::transport::{connect_schedule, connect_with_backoff};
 use crate::worker::{run_worker, WorkerOptions, WorkerReport};
 use crate::NetError;
@@ -27,8 +27,6 @@ pub struct LoopbackOptions {
     /// The master's configuration (fleet size, horizon, environment,
     /// fault plan, deadlines).
     pub master: MasterConfig,
-    /// Which master implementation drives the run (default: evented).
-    pub master_kind: MasterKind,
     /// Worker-side options, shared by every worker thread.
     pub worker: WorkerOptions,
     /// Kills worker-thread `k` right after it reports its local cost of
@@ -46,19 +44,7 @@ pub struct LoopbackOptions {
 impl LoopbackOptions {
     /// A lossless loopback run from a master configuration.
     pub fn new(master: MasterConfig) -> Self {
-        Self {
-            master,
-            master_kind: MasterKind::default(),
-            worker: WorkerOptions::default(),
-            kill: None,
-            stalls: Vec::new(),
-        }
-    }
-
-    /// Selects the master implementation.
-    pub fn with_master_kind(mut self, kind: MasterKind) -> Self {
-        self.master_kind = kind;
-        self
+        Self { master, worker: WorkerOptions::default(), kill: None, stalls: Vec::new() }
     }
 }
 
@@ -112,10 +98,7 @@ pub fn run_loopback(opts: &LoopbackOptions) -> Result<LoopbackRun, NetError> {
         handles.push(handle);
     }
 
-    let master_result = match opts.master_kind {
-        MasterKind::Blocking => run_master(&listener, &opts.master),
-        MasterKind::Evented => run_master_evented(&listener, &opts.master),
-    };
+    let master_result = run_master_evented(&listener, &opts.master);
     let workers: Vec<Result<WorkerReport, NetError>> = handles
         .into_iter()
         .map(|h| {

@@ -1,38 +1,23 @@
-//! The master node role: Algorithm 1's coordinator over real sockets,
-//! mirroring the sequential engine bitwise.
+//! The master node role's configuration and report: Algorithm 1's
+//! coordinator over real sockets, mirroring the sequential engine
+//! bitwise. The coordinator itself is the event loop in
+//! [`crate::evented`].
 //!
-//! The master holds a real [`Dolbie`] engine and drives it with the gains
-//! the workers report ([`Dolbie::observe_reported`]), so its state after
-//! every round is — by the engine's reported-round contract — bitwise
-//! identical to a sequential run fed the same costs. Workers hold the
-//! authoritative shares; the master's engine is the mirrored bookkeeper
-//! that computes the straggler pin, the α schedule, and the rare simplex
-//! guard rescale.
-//!
-//! ## Crash handling
-//!
-//! A worker whose socket times out, resets, or closes mid-round is
-//! declared dead and mapped onto a membership epoch
-//! ([`Dolbie::apply_membership`]): its share is redistributed over the
-//! survivors, α re-caps, the epoch counter increments, and every survivor
-//! receives an [`Frame::Epoch`] carrying its authoritative
-//! post-renormalization share (overriding any tentative in-round state).
-//! If the engine had not yet committed the round, the round restarts under
-//! the new epoch; if death surfaces only while delivering the commit
-//! (`Adjust`/`Assignment` sends), the round stands and the run continues.
-//! Stale frames from abandoned round attempts are filtered by the epoch
-//! tag they carry. The run never hangs on a dead worker.
+//! The master holds a real [`Dolbie`](dolbie_core::Dolbie) engine and
+//! drives it with the gains the workers report
+//! ([`Dolbie::observe_reported`](dolbie_core::Dolbie::observe_reported)),
+//! so its state after every round is — by the engine's reported-round
+//! contract — bitwise identical to a sequential run fed the same costs.
+//! Workers hold the authoritative shares; the master's engine is the
+//! mirrored bookkeeper that computes the straggler pin, the α schedule,
+//! and the rare simplex guard rescale.
 
 use crate::env::WireEnvSpec;
-use crate::handshake;
-use crate::transport::{Link, TransportError, WireStats, DEFAULT_FRAME_TIMEOUT};
-use crate::wire::Frame;
-use crate::NetError;
-use dolbie_core::{Allocation, Dolbie, DolbieConfig, LoadBalancer};
+use crate::transport::{WireStats, DEFAULT_FRAME_TIMEOUT};
+use dolbie_core::{Allocation, DolbieConfig};
 use dolbie_simnet::faults::FaultPlan;
-use dolbie_simnet::{ProtocolRound, ProtocolTrace};
-use std::net::TcpListener;
-use std::time::{Duration, Instant};
+use dolbie_simnet::ProtocolTrace;
+use std::time::Duration;
 
 /// Configuration of a master run.
 #[derive(Debug, Clone)]
@@ -75,34 +60,6 @@ impl MasterConfig {
     }
 }
 
-/// Which master implementation drives a run. Both speak the identical
-/// wire protocol and produce bitwise-identical trajectories; they differ
-/// only in I/O discipline and therefore in how wall time scales with `N`
-/// and with stalled peers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MasterKind {
-    /// Sequential blocking I/O: one blocking read per worker in id
-    /// order. Simple, but admission and rounds serialize behind the
-    /// slowest connection.
-    Blocking,
-    /// The event-driven readiness loop over non-blocking sockets
-    /// ([`crate::evented`]): concurrent admission, coalesced broadcasts,
-    /// timer-wheel deadlines. The default.
-    #[default]
-    Evented,
-}
-
-impl MasterKind {
-    /// Parses a command-line selector value.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "blocking" => Some(Self::Blocking),
-            "evented" => Some(Self::Evented),
-            _ => None,
-        }
-    }
-}
-
 /// Totals and trajectory of one completed master run.
 #[derive(Debug)]
 pub struct NetRunReport {
@@ -119,325 +76,4 @@ pub struct NetRunReport {
     pub wire: WireStats,
     /// Wall-clock seconds from the first round barrier to shutdown.
     pub wall_clock: f64,
-}
-
-/// How a round attempt ended, when not in a completed record.
-enum RoundAbort {
-    /// `worker`'s socket died. If the engine had already committed the
-    /// round, the completed record rides along and the round stands.
-    Dead { worker: usize, committed: Option<Box<ProtocolRound>> },
-    /// Unrecoverable failure (protocol violation, malformed bytes).
-    Fatal(NetError),
-}
-
-impl From<TransportError> for RoundAbort {
-    fn from(e: TransportError) -> Self {
-        Self::Fatal(NetError::Transport(e))
-    }
-}
-
-/// Accepts `cfg.num_workers` connections on `listener`, runs Algorithm 1
-/// to the horizon, and shuts the fleet down.
-///
-/// # Panics
-///
-/// Panics if the configuration names an empty fleet or a zero horizon.
-pub fn run_master(listener: &TcpListener, cfg: &MasterConfig) -> Result<NetRunReport, NetError> {
-    let n = cfg.num_workers;
-    assert!(n > 0, "at least one worker required");
-    assert!(cfg.rounds > 0, "at least one round required");
-
-    let mut engine = Dolbie::with_config(Allocation::uniform(n), cfg.dolbie);
-
-    // Handshake phase, through the shared admission helper: strict
-    // magic/version checks, ids in admission order, rogue sockets
-    // rejected without consuming a slot of the real fleet.
-    let mut links = handshake::admit_blocking(
-        listener,
-        n,
-        cfg.frame_timeout,
-        &cfg.fault,
-        |worker_id| {
-            handshake::welcome_frame(
-                worker_id as u32,
-                n as u32,
-                cfg.rounds as u64,
-                cfg.env,
-                engine.allocation().share(worker_id),
-                &cfg.fault,
-            )
-        },
-        |worker_id| worker_id as u64 + 1,
-    )?;
-
-    let mut members = vec![true; n];
-    let mut epoch: u32 = 0;
-    let mut retired = WireStats::default();
-    let mut records: Vec<ProtocolRound> = Vec::with_capacity(cfg.rounds);
-    let started = Instant::now();
-
-    let mut t = 0;
-    while t < cfg.rounds {
-        match run_round(t, epoch, &mut engine, &mut links, &members, cfg, started) {
-            Ok(record) => {
-                records.push(record);
-                t += 1;
-            }
-            Err(RoundAbort::Fatal(e)) => return Err(e),
-            Err(RoundAbort::Dead { worker, committed }) => {
-                if let Some(record) = committed {
-                    // The engine had committed before the death surfaced:
-                    // the round stands and the run continues at t + 1.
-                    records.push(*record);
-                    t += 1;
-                }
-                bury(worker, &mut members, &mut links, &mut retired, &mut engine, &mut epoch, t)?;
-            }
-        }
-    }
-
-    // Orderly shutdown; a worker dying at the very end is not an error.
-    // After the send, linger until the worker closes: a lossy peer whose
-    // final frame's ack was eaten is still in its retransmission
-    // schedule, and the recv loop keeps re-acking those duplicates —
-    // closing the socket mid-schedule would fire a reset into its send.
-    for link in links.iter_mut().flatten() {
-        let _ = link.send(&Frame::Shutdown);
-        while link.recv(cfg.frame_timeout).is_ok() {}
-    }
-    let mut wire = retired;
-    for link in links.iter().flatten() {
-        wire.absorb(&link.stats());
-    }
-    Ok(NetRunReport {
-        trace: ProtocolTrace { architecture: "tcp-master-worker", rounds: records },
-        final_allocation: engine.allocation().clone(),
-        epochs: epoch,
-        members,
-        wire,
-        wall_clock: started.elapsed().as_secs_f64(),
-    })
-}
-
-/// Declares `worker` dead, crosses a membership epoch, and announces it to
-/// the survivors — cascading if an announcement discovers further deaths.
-fn bury(
-    worker: usize,
-    members: &mut [bool],
-    links: &mut [Option<Link>],
-    retired: &mut WireStats,
-    engine: &mut Dolbie,
-    epoch: &mut u32,
-    next_round: usize,
-) -> Result<(), NetError> {
-    let mut pending = vec![worker];
-    while let Some(dead) = pending.pop() {
-        if !members[dead] {
-            continue;
-        }
-        members[dead] = false;
-        if let Some(link) = links[dead].take() {
-            retired.absorb(&link.stats());
-        }
-        if !members.iter().any(|&m| m) {
-            return Err(NetError::Protocol("every worker has died".into()));
-        }
-        engine.apply_membership(members);
-        *epoch += 1;
-        let mask: Vec<bool> = members.to_vec();
-        for (i, link) in links.iter_mut().enumerate() {
-            if !members[i] {
-                continue;
-            }
-            let frame = Frame::Epoch {
-                epoch: *epoch,
-                round: next_round as u64,
-                share: engine.allocation().share(i),
-                members: mask.clone(),
-            };
-            if link.as_mut().expect("members have links").send(&frame).is_err() {
-                pending.push(i);
-            }
-        }
-    }
-    Ok(())
-}
-
-/// One attempt at round `t` under the current epoch.
-fn run_round(
-    t: usize,
-    epoch: u32,
-    engine: &mut Dolbie,
-    links: &mut [Option<Link>],
-    members: &[bool],
-    cfg: &MasterConfig,
-    started: Instant,
-) -> Result<ProtocolRound, RoundAbort> {
-    let n = members.len();
-    let active: Vec<usize> = (0..n).filter(|&i| members[i]).collect();
-    let allocation = engine.allocation().clone();
-    let before: WireStats = wire_snapshot(links);
-
-    fn link(links: &mut [Option<Link>], i: usize) -> &mut Link {
-        links[i].as_mut().expect("active workers have links")
-    }
-
-    // Barrier: every active worker starts round t under this epoch.
-    for &i in &active {
-        if link(links, i).send(&Frame::RoundStart { epoch, round: t as u64 }).is_err() {
-            return Err(RoundAbort::Dead { worker: i, committed: None });
-        }
-    }
-
-    // Lines 9–11: collect local costs, filtering stale pre-epoch frames.
-    let mut local_costs = vec![0.0f64; n];
-    let mut logical = active.len(); // the RoundStart barrier frames
-    for &i in &active {
-        loop {
-            match link(links, i).recv(cfg.frame_timeout) {
-                Ok(Frame::LocalCost { epoch: e, round, cost }) => {
-                    if e == epoch && round == t as u64 {
-                        local_costs[i] = cost;
-                        logical += 1;
-                        break;
-                    } // else: stale frame from an abandoned attempt
-                }
-                Ok(Frame::Decision { epoch: e, .. }) if e < epoch => {} // stale
-                Ok(_) => {
-                    return Err(RoundAbort::Fatal(NetError::Protocol(format!(
-                        "worker {i} sent an unexpected frame during cost collection"
-                    ))))
-                }
-                Err(TransportError::Io(_)) => {
-                    return Err(RoundAbort::Dead { worker: i, committed: None })
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
-    }
-    let compute_finished = started.elapsed().as_secs_f64();
-
-    // Straggler: ascending argmax over the active members, strict `>` —
-    // the same tie-breaking as `Observation::from_costs_masked`.
-    let mut global_cost = f64::MIN;
-    let mut straggler = active[0];
-    for &i in &active {
-        if local_costs[i] > global_cost {
-            global_cost = local_costs[i];
-            straggler = i;
-        }
-    }
-
-    // Line 12: broadcast the coordination scalars.
-    let alpha = engine.alpha();
-    for &i in &active {
-        let frame = Frame::Coordination {
-            round: t as u64,
-            global_cost,
-            alpha,
-            is_straggler: i == straggler,
-        };
-        if link(links, i).send(&frame).is_err() {
-            return Err(RoundAbort::Dead { worker: i, committed: None });
-        }
-        logical += 1;
-    }
-
-    // Lines 13–14: collect the non-stragglers' reported gains.
-    let mut gains = vec![0.0f64; n];
-    for &i in &active {
-        if i == straggler {
-            continue;
-        }
-        loop {
-            match link(links, i).recv(cfg.frame_timeout) {
-                Ok(Frame::Decision { epoch: e, round, gain, .. }) => {
-                    if e == epoch && round == t as u64 {
-                        gains[i] = gain;
-                        logical += 1;
-                        break;
-                    }
-                }
-                Ok(Frame::LocalCost { epoch: e, .. }) if e < epoch => {} // stale
-                Ok(_) => {
-                    return Err(RoundAbort::Fatal(NetError::Protocol(format!(
-                        "worker {i} sent an unexpected frame during decision collection"
-                    ))))
-                }
-                Err(TransportError::Io(_)) => {
-                    return Err(RoundAbort::Dead { worker: i, committed: None })
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
-    }
-
-    // The engine commits the round — from here the round stands even if a
-    // delivery below discovers a death.
-    let outcome = engine.observe_reported(straggler, &gains);
-
-    let delta = |links: &[Option<Link>], before: &WireStats| -> WireStats {
-        let after = wire_snapshot(links);
-        WireStats {
-            frames_sent: after.frames_sent - before.frames_sent,
-            frames_received: after.frames_received - before.frames_received,
-            bytes_sent: after.bytes_sent - before.bytes_sent,
-            bytes_received: after.bytes_received - before.bytes_received,
-            retransmissions: after.retransmissions - before.retransmissions,
-            duplicates: after.duplicates - before.duplicates,
-            acks: after.acks - before.acks,
-        }
-    };
-    let record = |links: &[Option<Link>], logical: usize, control_finished: f64| -> ProtocolRound {
-        let wire = delta(links, &before);
-        ProtocolRound {
-            round: t,
-            allocation: allocation.clone(),
-            local_costs: local_costs.clone(),
-            global_cost,
-            straggler,
-            messages: logical,
-            bytes: (wire.bytes_sent + wire.bytes_received) as usize,
-            retries: wire.retransmissions as usize,
-            acks: wire.acks as usize,
-            duplicates: wire.duplicates as usize,
-            compute_finished,
-            control_finished,
-            active: members.to_vec(),
-            alpha: engine.alpha(),
-        }
-    };
-
-    // The rare simplex-guard rescale: non-stragglers replay
-    // `x = x_old + gain · scale`.
-    if let Some(scale) = outcome.rescale {
-        for &i in &active {
-            if i == straggler {
-                continue;
-            }
-            if link(links, i).send(&Frame::Adjust { round: t as u64, scale }).is_err() {
-                let committed = record(links, logical, started.elapsed().as_secs_f64());
-                return Err(RoundAbort::Dead { worker: i, committed: Some(Box::new(committed)) });
-            }
-            logical += 1;
-        }
-    }
-
-    // Line 15: the straggler's pinned share.
-    let assignment = Frame::Assignment { round: t as u64, share: outcome.straggler_share };
-    if link(links, straggler).send(&assignment).is_err() {
-        let committed = record(links, logical, started.elapsed().as_secs_f64());
-        return Err(RoundAbort::Dead { worker: straggler, committed: Some(Box::new(committed)) });
-    }
-    logical += 1;
-
-    Ok(record(links, logical, started.elapsed().as_secs_f64()))
-}
-
-fn wire_snapshot(links: &[Option<Link>]) -> WireStats {
-    let mut total = WireStats::default();
-    for link in links.iter().flatten() {
-        total.absorb(&link.stats());
-    }
-    total
 }

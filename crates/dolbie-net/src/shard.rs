@@ -2,11 +2,13 @@
 //! each run DOLBIE's per-round coordination over `N/M` workers, and a
 //! root coordinator runs the *same* min-max step over shard-level
 //! aggregates — breaking the flat master's `Θ(N)` fan-in while staying
-//! bitwise identical to the flat masters and the sequential engine.
+//! bitwise identical to the flat master and the sequential engine.
 //!
 //! ## Roles
 //!
-//! - **Root** ([`run_root`]): blocking links to `M` shard-masters. Per
+//! - **Root** ([`run_root`]): blocking links to `M` shard-masters,
+//!   admitted concurrently through the same handshake machine as the
+//!   workers, so a silent socket never delays a real shard. Per
 //!   round it sees `O(M)` frames and touches `O(1)` engine state
 //!   ([`RootEngine`]): elect the global straggler from `M` candidates,
 //!   broadcast the coordination scalars, chain the fixed-shape gains
@@ -56,7 +58,7 @@
 //!   scatters the authoritative slices back. A death discovered before
 //!   the round's commit restarts the round under the new epoch; a death
 //!   discovered after the commit stands and the epoch takes effect at
-//!   `t + 1` — the same boundary as the flat masters. Frames of an
+//!   `t + 1` — the same boundary as the flat master. Frames of an
 //!   abandoned attempt are filtered by their stale epoch/round tags at
 //!   every tier (shard-masters skip the root's stale round frames while
 //!   awaiting an epoch; workers' stale `LocalCost`/`Decision` frames
@@ -90,10 +92,10 @@
 //! [`RootEngine::abort_round`]: dolbie_core::shard::RootEngine::abort_round
 
 use crate::env::WireEnvSpec;
-use crate::fleet::{Fleet, Phase, SweepFail};
-use crate::handshake::{admit_concurrent, welcome_frame};
+use crate::fleet::{Conn, Fleet, Phase, SweepFail};
+use crate::handshake::{admit_concurrent, hello_opener, welcome_frame};
 use crate::transport::{
-    connect_schedule, connect_with_backoff, FrameConn, Link, TransportError, WireStats,
+    connect_schedule, connect_with_backoff, Envelope, FrameConn, Link, TransportError, WireStats,
     DEFAULT_FRAME_TIMEOUT,
 };
 use crate::wire::{CursorPhase, Frame, SHARD_SLICE_CHUNK};
@@ -840,83 +842,6 @@ impl Root<'_> {
     }
 }
 
-/// Accepts the backbone handshakes within a bounded admission window.
-/// Expiry is a structured error naming the shards that never completed
-/// the handshake — admission cannot hang and cannot panic.
-fn admit_backbone(
-    listener: &TcpListener,
-    cfg: &ShardedConfig,
-    layout: &ShardLayout,
-) -> Result<Vec<Option<Link>>, NetError> {
-    let (n, m) = (cfg.num_workers, cfg.num_shards);
-    let window = cfg.frame_timeout.max(Duration::from_millis(500)) * 4;
-    let deadline = Instant::now() + window;
-    listener.set_nonblocking(true).map_err(TransportError::from)?;
-    let mut slots: Vec<Option<Link>> = (0..m).map(|_| None).collect();
-    let mut admitted = 0usize;
-    while admitted < m {
-        if Instant::now() >= deadline {
-            let _ = listener.set_nonblocking(false);
-            let missing: Vec<usize> =
-                slots.iter().enumerate().filter(|(_, s)| s.is_none()).map(|(k, _)| k).collect();
-            return Err(NetError::Protocol(format!(
-                "backbone admission timed out after {window:?}: shards {missing:?} never \
-                 completed the ShardHello/ShardWelcome handshake"
-            )));
-        }
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
-                continue;
-            }
-            Err(e) => return Err(TransportError::from(e).into()),
-        };
-        if stream.set_nonblocking(false).is_err() {
-            continue;
-        }
-        let Ok(mut conn) = FrameConn::new(stream) else { continue };
-        let shard = match conn.recv(cfg.frame_timeout) {
-            Ok(Frame::ShardHello { shard, num_shards })
-                if num_shards as usize == m
-                    && (shard as usize) < m
-                    && slots[shard as usize].is_none() =>
-            {
-                shard as usize
-            }
-            Ok(_) | Err(_) => continue, // rejected
-        };
-        let range = layout.range(shard);
-        let welcome = Frame::ShardWelcome {
-            shard: shard as u32,
-            num_shards: m as u32,
-            num_workers: n as u32,
-            rounds: cfg.rounds as u64,
-            range_start: range.start as u32,
-            range_end: range.end as u32,
-            env: cfg.env,
-            drop_probability: cfg.fault.drop_probability,
-            duplicate_probability: cfg.fault.duplicate_probability,
-            fault_seed: cfg.fault.seed,
-            retry_ack_timeout: cfg.fault.retry.ack_timeout,
-            retry_backoff: cfg.fault.retry.backoff,
-            retry_max_attempts: cfg.fault.retry.max_attempts as u32,
-        };
-        if conn.send(&welcome).is_err() {
-            continue; // died between hello and welcome: rejected
-        }
-        slots[shard] = Some(Link::with_plan(
-            conn,
-            cfg.backbone_fault.clone(),
-            BACKBONE_ROOT_CODE,
-            backbone_shard_code(shard),
-        ));
-        admitted += 1;
-    }
-    let _ = listener.set_nonblocking(false);
-    Ok(slots)
-}
-
 /// Accepts `cfg.num_shards` shard-master connections on `listener`, runs
 /// the root tier of the two-level control plane to the horizon — riding
 /// out worker and shard-master crashes as membership epochs — and shuts
@@ -926,7 +851,9 @@ fn admit_backbone(
 /// configured peers, not anonymous workers); a connection declaring a
 /// mismatched shard count, an out-of-range or duplicate shard id, or
 /// anything other than a well-formed `ShardHello` is rejected while the
-/// listener keeps accepting, up to a bounded admission window.
+/// listener keeps accepting, up to a bounded admission window. Every
+/// pending socket handshakes concurrently under its own `frame_timeout`,
+/// so silent connections cost only themselves.
 ///
 /// # Panics
 ///
@@ -943,7 +870,57 @@ pub fn run_root(listener: &TcpListener, cfg: &ShardedConfig) -> Result<RootRepor
 
     let layout = ShardLayout::even(n, m);
     let engine = RootEngine::new(&Allocation::uniform(n), cfg.dolbie);
-    let links = admit_backbone(listener, cfg, &layout)?;
+
+    // Backbone admission through the shared concurrent machine: every
+    // pending socket handshakes under its own deadline, the whole window
+    // is bounded, and its expiry is a structured error naming the shards
+    // that never completed the handshake.
+    let window = cfg.frame_timeout.max(Duration::from_millis(500)) * 4;
+    let mut taken = vec![false; m];
+    let admitted = admit_concurrent(
+        listener,
+        m,
+        cfg.frame_timeout,
+        Some(window),
+        |opener| {
+            let Frame::ShardHello { shard, num_shards } = opener else { return None };
+            let k = shard as usize;
+            if num_shards as usize != m || k >= m || std::mem::replace(&mut taken[k], true) {
+                return None;
+            }
+            let range = layout.range(k);
+            let welcome = Frame::ShardWelcome {
+                shard,
+                num_shards,
+                num_workers: n as u32,
+                rounds: cfg.rounds as u64,
+                range_start: range.start as u32,
+                range_end: range.end as u32,
+                env: cfg.env,
+                drop_probability: cfg.fault.drop_probability,
+                duplicate_probability: cfg.fault.duplicate_probability,
+                fault_seed: cfg.fault.seed,
+                retry_ack_timeout: cfg.fault.retry.ack_timeout,
+                retry_backoff: cfg.fault.retry.backoff,
+                retry_max_attempts: cfg.fault.retry.max_attempts as u32,
+            };
+            Some((k, welcome))
+        },
+        |k| Envelope::new(&cfg.backbone_fault, BACKBONE_ROOT_CODE, backbone_shard_code(k)),
+    )?;
+    let missing: Vec<usize> = (0..m).filter(|&k| admitted[k].is_none()).collect();
+    if !missing.is_empty() {
+        return Err(NetError::Protocol(format!(
+            "backbone admission timed out after {window:?}: shards {missing:?} never completed \
+             the ShardHello/ShardWelcome handshake"
+        )));
+    }
+    // The root drives its O(M) links with blocking calls.
+    let links = admitted
+        .into_iter()
+        .map(|conn| conn.map(Conn::into_link).transpose())
+        .collect::<std::io::Result<Vec<Option<Link>>>>()
+        .map_err(TransportError::from)?;
     let max_range = (0..m).map(|k| layout.range(k).len()).max().unwrap_or(0);
     let root = Root {
         cfg,
@@ -1306,20 +1283,18 @@ pub fn run_shard_master(
     // Worker admission: the same shared evented machinery as the flat
     // master, parameterized with this shard's global id window.
     let initial = Allocation::uniform(n_total);
-    listener.set_nonblocking(true).map_err(TransportError::from)?;
     let admitted = admit_concurrent(
         listener,
         count,
         opts.frame_timeout,
-        &fault,
-        |slot| {
+        None,
+        hello_opener(|slot| {
             let global = range_start as usize + slot;
             welcome_frame(global as u32, num_workers, rounds, env, initial.share(global), &fault)
-        },
-        |slot| (range_start as usize + slot) as u64 + 1,
-    );
-    let _ = listener.set_nonblocking(false);
-    let mut fleet = Fleet::new(admitted?, opts.frame_timeout);
+        }),
+        |slot| Envelope::new(&fault, 0, (range_start as usize + slot) as u64 + 1),
+    )?;
+    let mut fleet = Fleet::new(admitted, opts.frame_timeout);
     // Lossless fleets take the staircase collect: the worker links carry
     // no retransmission clocks, so the sweep's poll/sleep duty cycle —
     // CPU stolen from the very workers the phase waits on — is pure

@@ -1,14 +1,14 @@
 //! Socket transport, split into a readiness-free **buffer/codec layer**
 //! ([`FrameCodec`]: reassembly, strict decode, batched transmit queues)
 //! and the policies on top of it: the blocking [`FrameConn`]/[`Link`]
-//! used by workers and the blocking master, bounded seeded reconnect,
-//! and the deterministic lossy link layer. The event-driven master
-//! ([`crate::evented`]) drives the same codec from a non-blocking
-//! readiness loop.
+//! used by workers and the root/shard-master backbone, bounded seeded
+//! reconnect, and the deterministic lossy envelope. The event loop
+//! (`crate::fleet`, behind the master and every shard-master) drives the
+//! same codec from a non-blocking readiness loop.
 //!
 //! ## The lossy mode
 //!
-//! A lossy [`Link`] replays a [`FaultPlan`]'s drop/duplicate/ack-drop
+//! A lossy connection replays a [`FaultPlan`]'s drop/duplicate/ack-drop
 //! decisions at the socket layer. Every protocol frame is carried in a
 //! [`Frame::Data`] envelope tagged with a per-direction sequence number
 //! and attempt counter; a "dropped" transmission is simply never written
@@ -19,6 +19,11 @@
 //! deduplicates by sequence number. The final attempt is written
 //! unconditionally and not awaited — TCP itself guarantees its delivery —
 //! so progress is guaranteed and a lossy run always terminates.
+//!
+//! One sans-IO state machine, `Envelope`, implements that schedule. Its
+//! two drivers are the blocking [`Link`], which sleeps in `read` until
+//! the next frame or retransmission deadline, and the event loop's
+//! connections, which check the same clock on every sweep.
 //!
 //! Because loss only ever *delays* frames and never changes their
 //! contents or relative order, the protocol trajectory under a lossy link
@@ -117,7 +122,7 @@ impl WireStats {
 /// The pure buffer/codec layer of a framed connection: bytes in one side,
 /// frames out the other, plus an outgoing byte queue — no socket, no
 /// blocking, no readiness. Both the blocking [`FrameConn`] and the
-/// event-driven master's connections sit on top of this.
+/// event loop's connections sit on top of this.
 ///
 /// Incoming bytes accumulate in a reassembly buffer and complete frames
 /// parse off its front, so a read ending mid-frame never desynchronizes
@@ -220,9 +225,22 @@ impl FrameConn {
         Ok(Self { stream, codec: FrameCodec::new() })
     }
 
+    /// Resumes a connection whose codec may already hold buffered bytes
+    /// in either direction (an event-loop handshake handing the socket
+    /// over); switches the socket back to blocking mode.
+    pub(crate) fn with_codec(stream: TcpStream, codec: FrameCodec) -> std::io::Result<Self> {
+        stream.set_nonblocking(false)?;
+        Ok(Self { stream, codec })
+    }
+
     /// Writes one frame.
     pub fn send(&mut self, frame: &Frame) -> Result<(), TransportError> {
         self.codec.queue(frame);
+        self.flush()
+    }
+
+    /// Writes everything queued on the codec.
+    fn flush(&mut self) -> Result<(), TransportError> {
         while self.codec.has_tx() {
             match self.stream.write(self.codec.pending_tx()) {
                 Ok(0) => {
@@ -236,8 +254,10 @@ impl FrameConn {
         Ok(())
     }
 
-    /// Reads one frame, waiting at most `deadline`.
+    /// Reads one frame, waiting at most `deadline`. Anything still queued
+    /// for transmission is written first.
     pub fn recv(&mut self, deadline: Duration) -> Result<Frame, TransportError> {
+        self.flush()?;
         let until = Instant::now() + deadline;
         loop {
             if let Some(frame) = self.codec.pop_frame()? {
@@ -265,9 +285,26 @@ impl FrameConn {
     }
 }
 
-/// Sender/receiver state of the lossy envelope on one connection.
+/// One stop-and-wait envelope in flight; `rto` is this attempt's
+/// timeout in seconds, counted from `at`.
 #[derive(Debug)]
-struct LossyState {
+struct Inflight {
+    seq: u64,
+    frame: Frame,
+    attempt: usize,
+    rto: f64,
+    at: Instant,
+}
+
+/// The lossy Data/Ack envelope of one connection as a sans-IO state
+/// machine: it writes into a [`FrameCodec`], is handed the frames read
+/// back, and takes the time as an argument. One attempt is in flight per
+/// direction (stop-and-wait: pipelining would make the receiver's
+/// high-water-mark dedup discard retransmitted lower sequences); attempt
+/// `k` waits `ack_timeout · backoff^k`, and the final one is written
+/// unconditionally and not awaited.
+#[derive(Debug)]
+pub(crate) struct Envelope {
     plan: FaultPlan,
     /// This endpoint's node code in the fault-decision hash (master 0,
     /// worker `i` → `i + 1`; the `dolbie-simnet` convention).
@@ -275,24 +312,169 @@ struct LossyState {
     peer_code: u64,
     next_seq: u64,
     last_delivered: Option<u64>,
-    inbox: VecDeque<Frame>,
+    outbox: VecDeque<Frame>,
+    inflight: Option<Inflight>,
     retransmissions: u64,
     duplicates: u64,
     acks: u64,
 }
 
-/// A protocol-frame channel over one TCP connection: either raw frames
-/// (lossless) or the deterministic lossy envelope.
+impl Envelope {
+    /// The envelope replaying `plan` between `self_code` and `peer_code`,
+    /// or `None` for a lossless plan: raw frames, zero overhead.
+    pub(crate) fn new(plan: &FaultPlan, self_code: u64, peer_code: u64) -> Option<Self> {
+        (!plan.is_lossless()).then(|| Self {
+            plan: plan.clone(),
+            self_code,
+            peer_code,
+            next_seq: 0,
+            last_delivered: None,
+            outbox: VecDeque::new(),
+            inflight: None,
+            retransmissions: 0,
+            duplicates: 0,
+            acks: 0,
+        })
+    }
+
+    /// Whether a frame is queued or awaiting its ack.
+    pub(crate) fn busy(&self) -> bool {
+        self.inflight.is_some() || !self.outbox.is_empty()
+    }
+
+    /// When the attempt in flight times out, if one is.
+    pub(crate) fn deadline(&self) -> Option<Instant> {
+        self.inflight.as_ref().map(|i| i.at + Duration::from_secs_f64(i.rto))
+    }
+
+    /// Queues one protocol frame, starting it at once if nothing is in
+    /// flight.
+    pub(crate) fn send(&mut self, frame: &Frame, codec: &mut FrameCodec, now: Instant) {
+        self.outbox.push_back(frame.clone());
+        self.kick(codec, now);
+    }
+
+    /// Drives the retransmission clock: retransmits the attempt in
+    /// flight once its timeout has passed.
+    pub(crate) fn poll(&mut self, codec: &mut FrameCodec, now: Instant) {
+        self.kick(codec, now);
+        let Some(inflight) = self.inflight.as_mut() else { return };
+        if now.saturating_duration_since(inflight.at) < Duration::from_secs_f64(inflight.rto) {
+            return;
+        }
+        inflight.attempt += 1;
+        inflight.rto *= self.plan.retry.backoff;
+        self.retransmissions += 1;
+        if self.transmit(codec, now) {
+            self.kick(codec, now);
+        }
+    }
+
+    /// Handles one frame read off the wire: a `Data` copy is acked
+    /// (unless the plan drops the ack) and its payload returned if it is
+    /// new; an `Ack` completes the attempt in flight. A raw protocol
+    /// frame is a violation.
+    pub(crate) fn receive(
+        &mut self,
+        frame: Frame,
+        codec: &mut FrameCodec,
+        now: Instant,
+    ) -> Result<Option<Frame>, TransportError> {
+        match frame {
+            Frame::Data { seq, attempt, inner } => {
+                // Ack fate is keyed on the DATA direction (peer → self),
+                // so the sender reaches the same verdict.
+                if !self.plan.wire_ack_drop(seq, self.peer_code, self.self_code, attempt as usize) {
+                    codec.queue(&Frame::Ack { seq });
+                    self.acks += 1;
+                }
+                // Per-direction seqs are strictly increasing; anything at
+                // or below the high-water mark is a retransmitted or
+                // duplicated copy of a frame already delivered upward.
+                if self.last_delivered.is_none_or(|last| seq > last) {
+                    self.last_delivered = Some(seq);
+                    return Ok(Some(*inner));
+                }
+                Ok(None)
+            }
+            Frame::Ack { seq } => {
+                // A late ack for an attempt no longer in flight is moot.
+                if self.inflight.as_ref().is_some_and(|i| i.seq == seq) {
+                    self.inflight = None;
+                    self.kick(codec, now);
+                }
+                Ok(None)
+            }
+            _ => Err(TransportError::Protocol("raw frame on a lossy link")),
+        }
+    }
+
+    /// `codec`'s counters with this envelope's retransmissions,
+    /// duplicates and acks filled in.
+    pub(crate) fn stats(&self, codec: &FrameCodec) -> WireStats {
+        WireStats {
+            retransmissions: self.retransmissions,
+            duplicates: self.duplicates,
+            acks: self.acks,
+            ..codec.stats()
+        }
+    }
+
+    /// Starts the next queued frame if nothing is in flight.
+    fn kick(&mut self, codec: &mut FrameCodec, now: Instant) {
+        while self.inflight.is_none() {
+            let Some(frame) = self.outbox.pop_front() else { return };
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            let rto = self.plan.retry.ack_timeout;
+            self.inflight = Some(Inflight { seq, frame, attempt: 0, rto, at: now });
+            // A forced final attempt completes at once; chain on.
+            self.transmit(codec, now);
+        }
+    }
+
+    /// Writes the current attempt, or lets the plan drop it before the
+    /// wire: a dropped attempt is simply never written. Returns whether
+    /// the envelope completed (the forced final attempt was written).
+    fn transmit(&mut self, codec: &mut FrameCodec, now: Instant) -> bool {
+        let inflight = self.inflight.as_mut().expect("an attempt in flight");
+        let (seq, attempt) = (inflight.seq, inflight.attempt);
+        let forced = attempt + 1 == self.plan.retry.max_attempts;
+        if forced || !self.plan.wire_drop(seq, self.self_code, self.peer_code, attempt) {
+            let data = Frame::Data {
+                seq,
+                attempt: attempt as u32,
+                inner: Box::new(inflight.frame.clone()),
+            };
+            codec.queue(&data);
+            if self.plan.wire_duplicate(seq, self.self_code, self.peer_code, attempt) {
+                codec.queue(&data);
+                self.duplicates += 1;
+            }
+        }
+        inflight.at = now;
+        if forced {
+            // TCP delivers what we wrote; nothing left to await.
+            self.inflight = None;
+        }
+        forced
+    }
+}
+
+/// A protocol-frame channel over one blocking TCP connection: either raw
+/// frames (lossless) or the blocking driver of the lossy envelope.
 #[derive(Debug)]
 pub struct Link {
     conn: FrameConn,
-    lossy: Option<LossyState>,
+    envelope: Option<Envelope>,
+    /// Payloads the envelope delivered but no `recv` has taken yet.
+    inbox: VecDeque<Frame>,
 }
 
 impl Link {
     /// A raw pass-through link: protocol frames directly on the wire.
     pub fn lossless(conn: FrameConn) -> Self {
-        Self { conn, lossy: None }
+        Self::from_parts(conn, None)
     }
 
     /// A link replaying `plan`'s socket-layer faults. `self_code` and
@@ -301,151 +483,67 @@ impl Link {
     /// on every decision. Falls back to a pass-through if the plan is
     /// lossless.
     pub fn with_plan(conn: FrameConn, plan: FaultPlan, self_code: u64, peer_code: u64) -> Self {
-        if plan.is_lossless() {
-            return Self::lossless(conn);
-        }
-        Self {
-            conn,
-            lossy: Some(LossyState {
-                plan,
-                self_code,
-                peer_code,
-                next_seq: 0,
-                last_delivered: None,
-                inbox: VecDeque::new(),
-                retransmissions: 0,
-                duplicates: 0,
-                acks: 0,
-            }),
-        }
+        Self::from_parts(conn, Envelope::new(&plan, self_code, peer_code))
+    }
+
+    pub(crate) fn from_parts(conn: FrameConn, envelope: Option<Envelope>) -> Self {
+        Self { conn, envelope, inbox: VecDeque::new() }
     }
 
     /// Sends one protocol frame; in lossy mode this blocks through the
     /// retransmission schedule until a copy is acknowledged (or the final
     /// attempt is force-written).
     pub fn send(&mut self, frame: &Frame) -> Result<(), TransportError> {
-        if self.lossy.is_none() {
-            return self.conn.send(frame);
-        }
-        let (seq, retry, plan, me, peer) = {
-            let state = self.lossy.as_mut().expect("checked above");
-            let seq = state.next_seq;
-            state.next_seq += 1;
-            (seq, state.plan.retry, state.plan.clone(), state.self_code, state.peer_code)
-        };
-        let mut rto = retry.ack_timeout;
-        for attempt in 0..retry.max_attempts {
-            let forced = attempt + 1 == retry.max_attempts;
-            if attempt > 0 {
-                self.lossy.as_mut().expect("lossy mode").retransmissions += 1;
-            }
-            let delivered = forced || !plan.wire_drop(seq, me, peer, attempt);
-            if delivered {
-                let data =
-                    Frame::Data { seq, attempt: attempt as u32, inner: Box::new(frame.clone()) };
-                self.conn.send(&data)?;
-                if plan.wire_duplicate(seq, me, peer, attempt) {
-                    self.conn.send(&data)?;
-                    self.lossy.as_mut().expect("lossy mode").duplicates += 1;
-                }
-                if forced {
-                    // TCP delivers what we wrote; nothing left to await.
-                    return Ok(());
-                }
-                if self.await_ack(seq, Duration::from_secs_f64(rto))? {
-                    return Ok(());
-                }
-            } else {
-                // The "network" ate this attempt before the wire: nothing
-                // was written. Wait out the timeout anyway (that is the
-                // injected delay), servicing any incoming traffic.
-                let _ = self.await_ack(seq, Duration::from_secs_f64(rto))?;
-            }
-            rto *= retry.backoff;
-        }
-        unreachable!("the forced final attempt returns")
+        let Some(envelope) = self.envelope.as_mut() else { return self.conn.send(frame) };
+        envelope.send(frame, &mut self.conn.codec, Instant::now());
+        self.drive(None)
     }
 
     /// Receives the next protocol frame, waiting at most `deadline`.
     pub fn recv(&mut self, deadline: Duration) -> Result<Frame, TransportError> {
-        if self.lossy.is_none() {
+        if self.envelope.is_none() {
             return self.conn.recv(deadline);
         }
-        let until = Instant::now() + deadline;
-        loop {
-            if let Some(frame) = self.lossy.as_mut().expect("lossy mode").inbox.pop_front() {
-                return Ok(frame);
-            }
-            let remaining = until.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(std::io::Error::from(std::io::ErrorKind::TimedOut).into());
-            }
-            let frame = self.conn.recv(remaining)?;
-            self.on_wire_frame(frame)?;
-        }
+        self.drive(Some(Instant::now() + deadline))?;
+        Ok(self.inbox.pop_front().expect("drive returns once a payload is delivered"))
     }
 
-    /// Waits up to `window` for the ack of `seq`, servicing interleaved
-    /// peer traffic. Returns whether the ack arrived.
-    fn await_ack(&mut self, seq: u64, window: Duration) -> Result<bool, TransportError> {
-        let until = Instant::now() + window;
+    /// Runs the envelope over the blocking socket until it is idle (a
+    /// send, `until == None`) or a payload waits (a recv, timing out at
+    /// `until`): each read blocks no longer than the attempt in flight's
+    /// retransmission deadline.
+    fn drive(&mut self, until: Option<Instant>) -> Result<(), TransportError> {
+        let Self { conn, envelope, inbox } = self;
+        let envelope = envelope.as_mut().expect("lossy mode");
         loop {
-            let remaining = until.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Ok(false);
+            conn.flush()?;
+            let done = if until.is_some() { !inbox.is_empty() } else { !envelope.busy() };
+            if done {
+                return Ok(());
             }
-            match self.conn.recv(remaining) {
-                Ok(Frame::Ack { seq: acked }) if acked == seq => return Ok(true),
-                Ok(frame) => self.on_wire_frame(frame)?,
-                Err(e) if e.is_timeout() => return Ok(false),
+            let wake =
+                until.into_iter().chain(envelope.deadline()).min().expect("a send in flight");
+            match conn.recv(wake.saturating_duration_since(Instant::now())) {
+                Ok(frame) => {
+                    if let Some(payload) =
+                        envelope.receive(frame, &mut conn.codec, Instant::now())?
+                    {
+                        inbox.push_back(payload);
+                    }
+                }
+                Err(e) if e.is_timeout() && until.is_none_or(|u| Instant::now() < u) => {}
                 Err(e) => return Err(e),
             }
+            envelope.poll(&mut conn.codec, Instant::now());
         }
     }
 
-    /// Receiver-side handling of one frame off the wire in lossy mode:
-    /// ack-or-suppress, dedup, and inbox the payload.
-    fn on_wire_frame(&mut self, frame: Frame) -> Result<(), TransportError> {
-        match frame {
-            Frame::Data { seq, attempt, inner } => {
-                let state = self.lossy.as_ref().expect("lossy mode");
-                // Ack fate is keyed on the DATA direction (peer → self),
-                // so the sender would reach the same verdict.
-                let suppressed = state.plan.wire_ack_drop(
-                    seq,
-                    state.peer_code,
-                    state.self_code,
-                    attempt as usize,
-                );
-                if !suppressed {
-                    self.conn.send(&Frame::Ack { seq })?;
-                    self.lossy.as_mut().expect("lossy mode").acks += 1;
-                }
-                let state = self.lossy.as_mut().expect("lossy mode");
-                // Per-direction seqs are strictly increasing; anything at
-                // or below the high-water mark is a retransmitted or
-                // duplicated copy of a frame already delivered upward.
-                if state.last_delivered.is_none_or(|last| seq > last) {
-                    state.last_delivered = Some(seq);
-                    state.inbox.push_back(*inner);
-                }
-                Ok(())
-            }
-            // A late ack for an attempt we stopped waiting on.
-            Frame::Ack { .. } => Ok(()),
-            _ => Err(TransportError::Protocol("raw frame on a lossy link")),
-        }
-    }
-
-    /// Combined socket and link-layer counters.
+    /// Combined socket and envelope counters.
     pub fn stats(&self) -> WireStats {
-        let mut stats = self.conn.stats();
-        if let Some(state) = &self.lossy {
-            stats.retransmissions = state.retransmissions;
-            stats.duplicates = state.duplicates;
-            stats.acks = state.acks;
+        match &self.envelope {
+            Some(envelope) => envelope.stats(&self.conn.codec),
+            None => self.conn.stats(),
         }
-        stats
     }
 }
 
@@ -592,6 +690,59 @@ mod tests {
         assert_eq!(rx.recv(Duration::from_secs(2)).unwrap(), frame);
         assert_eq!(tx.stats().bytes_sent, frame.encode().len() as u64);
         assert_eq!(tx.stats().retransmissions + tx.stats().acks + tx.stats().duplicates, 0);
+    }
+
+    /// Two envelopes trade frames through two codecs under a synthetic
+    /// clock — no socket, no real time — and exactly-once in-order
+    /// delivery plus the envelope counters follow from the seed alone.
+    fn envelope_exchange(plan: &FaultPlan, frames: u64) -> [WireStats; 2] {
+        let base = Instant::now();
+        let mut ends = [Envelope::new(plan, 1, 0).unwrap(), Envelope::new(plan, 0, 1).unwrap()];
+        let mut codecs = [FrameCodec::new(), FrameCodec::new()];
+        for round in 0..frames {
+            let frame = Frame::LocalCost { epoch: 0, round, cost: round as f64 };
+            ends[0].send(&frame, &mut codecs[0], base);
+        }
+        let mut delivered = Vec::new();
+        let mut tick = 0u64;
+        while ends[0].busy() || codecs.iter().any(FrameCodec::has_tx) {
+            tick += 1;
+            assert!(tick < 1_000_000, "the forced final attempt bounds every schedule");
+            let now = base + Duration::from_millis(tick);
+            for (from, to) in [(0, 1), (1, 0)] {
+                let bytes = codecs[from].pending_tx().to_vec();
+                codecs[from].advance_tx(bytes.len());
+                codecs[to].ingest(&bytes);
+                while let Some(frame) = codecs[to].pop_frame().unwrap() {
+                    if let Some(payload) = ends[to].receive(frame, &mut codecs[to], now).unwrap() {
+                        assert_eq!(to, 1, "only the sender's direction carries payloads");
+                        delivered.push(payload);
+                    }
+                }
+            }
+            for (end, codec) in ends.iter_mut().zip(codecs.iter_mut()) {
+                end.poll(codec, now);
+            }
+        }
+        let expected: Vec<Frame> = (0..frames)
+            .map(|round| Frame::LocalCost { epoch: 0, round, cost: round as f64 })
+            .collect();
+        assert_eq!(delivered, expected, "in-order exactly-once delivery");
+        [ends[0].stats(&codecs[0]), ends[1].stats(&codecs[1])]
+    }
+
+    #[test]
+    fn envelope_delivers_exactly_once_on_a_synthetic_clock() {
+        let plan = FaultPlan::seeded(21)
+            .with_drop_probability(0.4)
+            .with_duplicate_probability(0.3)
+            .with_retry(RetryPolicy::new(0.01, 1.5, 6));
+        let first = envelope_exchange(&plan, 50);
+        let [sent, received] = first;
+        assert!(sent.retransmissions > 0, "40% drop over 50 frames must retransmit somewhere");
+        assert!(sent.duplicates > 0, "30% duplication must fire somewhere");
+        assert!(received.acks > 0, "the receiver acks what it is handed");
+        assert_eq!(envelope_exchange(&plan, 50), first, "the counters follow from the seed");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use dolbie_core::{run_episode, Allocation, Dolbie, DolbieConfig, EpisodeOptions, LoadBalancer};
 use dolbie_net::env::{EnvKind, WireEnvSpec};
 use dolbie_net::loopback::{run_loopback, LoopbackOptions};
-use dolbie_net::master::{MasterConfig, MasterKind, NetRunReport};
+use dolbie_net::master::{MasterConfig, NetRunReport};
 use dolbie_simnet::faults::{FaultPlan, RetryPolicy};
 use dolbie_simnet::{FixedLatency, MasterWorkerSim};
 use std::time::Duration;
@@ -50,57 +50,44 @@ fn assert_bitwise(report: &NetRunReport, reference: &[Allocation], n: usize) {
 #[test]
 fn loopback_is_bitwise_identical_to_sequential_for_500_rounds() {
     const ROUNDS: usize = 500;
-    for kind in [MasterKind::Evented, MasterKind::Blocking] {
-        for n in [4usize, 16] {
-            let env = WireEnvSpec { kind: EnvKind::ChaosMix, seed: 0xD01B_1E05 + n as u64 };
-            let opts =
-                LoopbackOptions::new(MasterConfig::new(n, ROUNDS, env)).with_master_kind(kind);
-            let run = run_loopback(&opts).expect("lossless loopback run");
-            assert_eq!(run.report.trace.rounds.len(), ROUNDS);
-            assert_eq!(run.report.epochs, 0);
+    for n in [4usize, 16] {
+        let env = WireEnvSpec { kind: EnvKind::ChaosMix, seed: 0xD01B_1E05 + n as u64 };
+        let opts = LoopbackOptions::new(MasterConfig::new(n, ROUNDS, env));
+        let run = run_loopback(&opts).expect("lossless loopback run");
+        assert_eq!(run.report.trace.rounds.len(), ROUNDS);
+        assert_eq!(run.report.epochs, 0);
 
-            // Both masters against the same reference: bitwise equality
-            // to the sequential engine and therefore to each other.
-            let reference = sequential_allocations(env, n, ROUNDS);
-            assert_bitwise(&run.report, &reference, n);
+        let reference = sequential_allocations(env, n, ROUNDS);
+        assert_bitwise(&run.report, &reference, n);
 
-            // The simnet master-worker trace agrees to numerical
-            // tolerance (its guarded pin sums naively; the engine
-            // compensates). One master kind suffices — the other is
-            // bitwise identical.
-            if kind == MasterKind::Evented {
-                let sim = MasterWorkerSim::new(
-                    env.environment(n),
-                    DolbieConfig::new(),
-                    FixedLatency::lan(),
-                )
+        // The simnet master-worker trace agrees to numerical tolerance
+        // (its guarded pin sums naively; the engine compensates).
+        let sim =
+            MasterWorkerSim::new(env.environment(n), DolbieConfig::new(), FixedLatency::lan())
                 .run(ROUNDS);
-                for (net_round, sim_round) in run.report.trace.rounds.iter().zip(&sim.rounds) {
-                    assert!(
-                        net_round.allocation.l2_distance(&sim_round.allocation) < 1e-9,
-                        "round {}: TCP vs simnet master-worker drifted",
-                        net_round.round
-                    );
-                    let max = sim_round.local_costs.iter().cloned().fold(f64::MIN, f64::max);
-                    let near =
-                        sim_round.local_costs.iter().filter(|&&c| (c - max).abs() < 1e-9).count();
-                    if near == 1 {
-                        assert_eq!(net_round.straggler, sim_round.straggler);
-                    }
-                }
+        for (net_round, sim_round) in run.report.trace.rounds.iter().zip(&sim.rounds) {
+            assert!(
+                net_round.allocation.l2_distance(&sim_round.allocation) < 1e-9,
+                "round {}: TCP vs simnet master-worker drifted",
+                net_round.round
+            );
+            let max = sim_round.local_costs.iter().cloned().fold(f64::MIN, f64::max);
+            let near = sim_round.local_costs.iter().filter(|&&c| (c - max).abs() < 1e-9).count();
+            if near == 1 {
+                assert_eq!(net_round.straggler, sim_round.straggler);
             }
+        }
 
-            // Every worker saw the whole run and finished on its engine
-            // share.
-            for worker in &run.workers {
-                let report = worker.as_ref().expect("healthy worker");
-                assert_eq!(report.rounds_seen, ROUNDS);
-                assert_eq!(
-                    report.final_share.to_bits(),
-                    run.report.final_allocation.share(report.worker_id).to_bits(),
-                    "worker-held share must equal the master engine's"
-                );
-            }
+        // Every worker saw the whole run and finished on its engine
+        // share.
+        for worker in &run.workers {
+            let report = worker.as_ref().expect("healthy worker");
+            assert_eq!(report.rounds_seen, ROUNDS);
+            assert_eq!(
+                report.final_share.to_bits(),
+                run.report.final_allocation.share(report.worker_id).to_bits(),
+                "worker-held share must equal the master engine's"
+            );
         }
     }
 }
@@ -112,15 +99,7 @@ fn loopback_is_bitwise_identical_to_sequential_for_500_rounds() {
 /// ever delays frames.
 #[test]
 fn lossy_loopback_terminates_and_keeps_the_chaos_invariants() {
-    // The blocking master serializes the stop-and-wait envelope across
-    // workers, so its N = 16 case runs a shorter horizon to stay brisk;
-    // the evented master retransmits concurrently and takes the full one.
-    for (kind, n, rounds) in [
-        (MasterKind::Evented, 4usize, 40usize),
-        (MasterKind::Evented, 16, 40),
-        (MasterKind::Blocking, 4, 40),
-        (MasterKind::Blocking, 16, 12),
-    ] {
+    for (n, rounds) in [(4usize, 40usize), (16, 40)] {
         let env = WireEnvSpec { kind: EnvKind::ChaosMix, seed: 0xC4A05 + n as u64 };
         let retry = RetryPolicy::new(0.01, 1.5, 6);
         let plan = FaultPlan::seeded(21)
@@ -128,8 +107,7 @@ fn lossy_loopback_terminates_and_keeps_the_chaos_invariants() {
             .with_duplicate_probability(0.05)
             .with_retry(retry);
         let mut opts =
-            LoopbackOptions::new(MasterConfig::new(n, rounds, env).with_fault_plan(plan))
-                .with_master_kind(kind);
+            LoopbackOptions::new(MasterConfig::new(n, rounds, env).with_fault_plan(plan));
         opts.worker.retry = Some(retry);
         let run = run_loopback(&opts).expect("lossy run must terminate");
         let report = &run.report;
@@ -158,7 +136,7 @@ fn lossy_loopback_terminates_and_keeps_the_chaos_invariants() {
 
         // Invariant 4: architecture agreement, in its strongest form —
         // loss only delays frames, so even the lossy trajectory is
-        // bitwise the sequential one, under either master.
+        // bitwise the sequential one.
         let reference = sequential_allocations(env, n, rounds);
         assert_bitwise(report, &reference, n);
     }
@@ -169,12 +147,6 @@ fn lossy_loopback_terminates_and_keeps_the_chaos_invariants() {
 /// allocation stays on the simplex within 1e-12 afterward.
 #[test]
 fn killed_worker_triggers_a_membership_epoch_without_hanging() {
-    for kind in [MasterKind::Evented, MasterKind::Blocking] {
-        killed_worker_case(kind);
-    }
-}
-
-fn killed_worker_case(kind: MasterKind) {
     const ROUNDS: usize = 30;
     const N: usize = 4;
     const KILL_ROUND: usize = 11;
@@ -183,7 +155,7 @@ fn killed_worker_case(kind: MasterKind) {
     // A dead socket is detected by deadline or reset; keep the deadline
     // short so the test is brisk either way.
     cfg.frame_timeout = Duration::from_secs(2);
-    let mut opts = LoopbackOptions::new(cfg).with_master_kind(kind);
+    let mut opts = LoopbackOptions::new(cfg);
     opts.kill = Some((2, KILL_ROUND));
     let run = run_loopback(&opts).expect("crash must not sink the run");
     let report = &run.report;

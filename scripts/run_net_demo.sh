@@ -12,25 +12,13 @@
 # two-level control plane as separate OS processes — and asserts the
 # root drives the complete horizon with a healthy O(M) backbone.
 #
-#   scripts/run_net_demo.sh [--master blocking|evented] [--sharded M] [workers] [rounds]
+#   scripts/run_net_demo.sh [--sharded M] [workers] [rounds]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-MASTER="evented"
 SHARDS=0
 while :; do
     case "${1:-}" in
-        --master)
-            MASTER="${2:?--master requires a value (blocking or evented)}"
-            case "$MASTER" in
-                blocking | evented) ;;
-                *)
-                    echo "error: invalid --master '$MASTER' (expected blocking or evented)" >&2
-                    exit 2
-                    ;;
-            esac
-            shift 2
-            ;;
         --sharded)
             SHARDS="${2:?--sharded requires a shard count}"
             case "$SHARDS" in
@@ -149,9 +137,9 @@ if [ "$SHARDS" -gt 0 ]; then
 fi
 
 master_log="$workdir/master.log"
-echo "== net demo: $MASTER master on an ephemeral port, $WORKERS workers, $ROUNDS rounds =="
+echo "== net demo: master on an ephemeral port, $WORKERS workers, $ROUNDS rounds =="
 "$NODE" master --listen 127.0.0.1:0 --workers "$WORKERS" --rounds "$ROUNDS" \
-    --master "$MASTER" --env chaos --env-seed 7 --verify >"$master_log" 2>&1 &
+    --env chaos --env-seed 7 --verify >"$master_log" 2>&1 &
 master_pid=$!
 pids+=("$master_pid")
 
